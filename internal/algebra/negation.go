@@ -3,6 +3,7 @@ package algebra
 import (
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
+	"github.com/caesar-cep/caesar/internal/predicate"
 )
 
 // negTracker owns the negation side of a pattern operator: the
@@ -10,37 +11,56 @@ import (
 // completion-time violation checks. Both kernels (the automaton and
 // the preserved legacy kernel) share it, so negation semantics are
 // identical by construction.
-//
-// buf[j] buffers events of negation j's type, bounded by 2*Horizon so
-// that completion-time checks see every event that can fall within a
-// live match's span. The buffer is a ring over a slice: head[j] marks
-// the first live entry, expiry advances it, and the slice compacts
-// only when the dead prefix dominates — no per-Advance reshuffling.
-//
-// idx[j] indexes the live part of buf[j] by the negation's hash-join
-// attribute (nil when the negation has no equi-join condition or
-// indexing is disabled): completion-time checks then probe one bucket
-// instead of scanning the buffer. Buckets are arena-recycled rings
-// that mirror buf's head-offset discipline. Emptied buckets stay
-// mapped (their key usually comes back); idxEmpty[j] counts them, and
-// a sweep returns them to the arena only when they dominate.
 type negTracker struct {
-	negs  []model.Negation
 	steps []model.Step
 	arena *kernelArena
-
-	buf      [][]*event.Event
-	head     []int
-	idx      []map[event.Value]*negBucket
-	idxEmpty []int
+	bufs  []negBuf
 
 	scratch []*event.Event // negation condition evaluation buffer
+	keep    []*event.Event // survivors of a disordered buffer's expiry
 }
 
-// negBucket is one hash bucket of a negation index: a ring over a
-// slice, like the buffer itself. evs[head:] is the live portion in
-// stream order; expiry advances head and compaction runs only when
-// the dead prefix dominates. Buckets recycle through the arena.
+// negBuf buffers the events of one negation's type, bounded by
+// 2*Horizon so that completion-time checks see every event that can
+// fall within a live match's span.
+//
+// Without a hash index (the negation has no equi-join condition, or
+// indexing is disabled) the buffer is the single bucket all, in
+// stream order. With one, idx maps the negation's join attribute to
+// per-key buckets, and order records the bucket of every buffered
+// event in stream order: the buffer's oldest event is always the
+// front of order[head], so expiry pops bucket fronts without a map
+// lookup. Emptied buckets stay mapped (their key usually comes back);
+// empties counts them, and a sweep returns them to the arena only
+// when they dominate.
+//
+// endSorted records whether the buffer holds its events in
+// nondecreasing End order — the runtime's tick discipline. While it
+// holds, the expired events are a prefix and a probe's scan can stop
+// at the first event ending at or before the match's lower bound;
+// a disordered buffer expires by a filter pass and probes scan it
+// whole. It resets once the buffer drains.
+type negBuf struct {
+	neg *model.Negation
+	// resid is Conds without the equi-join the index decides; probes
+	// of an int key evaluate only these.
+	resid []*predicate.Compiled
+
+	all     *negBucket
+	idx     *keyIndex[*negBucket]
+	order   []*negBucket
+	head    int
+	empties int
+
+	endSorted bool
+	lastEnd   event.Time
+}
+
+// negBucket is one hash bucket of a negation index (or an unindexed
+// negation's whole buffer): a ring over a slice. evs[head:] is the
+// live portion in stream order; expiry advances head and compaction
+// runs only when the dead prefix dominates. Buckets recycle through
+// the arena.
 type negBucket struct {
 	evs  []*event.Event
 	head int
@@ -49,135 +69,219 @@ type negBucket struct {
 // empty reports whether the bucket holds no live events.
 func (b *negBucket) empty() bool { return b.head == len(b.evs) }
 
+// pop drops the front event and reports whether the bucket emptied.
+func (b *negBucket) pop() bool {
+	b.evs[b.head] = nil
+	b.head++
+	switch {
+	case b.head == len(b.evs):
+		b.evs = b.evs[:0]
+		b.head = 0
+		return true
+	case b.head > 32 && 2*b.head >= len(b.evs):
+		n := copy(b.evs, b.evs[b.head:])
+		clear(b.evs[n:])
+		b.evs = b.evs[:n]
+		b.head = 0
+	}
+	return false
+}
+
 func newNegTracker(spec *PatternSpec, arena *kernelArena) *negTracker {
 	nt := &negTracker{
-		negs:     spec.Negs,
-		steps:    spec.Steps,
-		arena:    arena,
-		buf:      make([][]*event.Event, len(spec.Negs)),
-		head:     make([]int, len(spec.Negs)),
-		idx:      make([]map[event.Value]*negBucket, len(spec.Negs)),
-		idxEmpty: make([]int, len(spec.Negs)),
-		scratch:  make([]*event.Event, spec.NumSlots),
+		steps:   spec.Steps,
+		arena:   arena,
+		bufs:    make([]negBuf, len(spec.Negs)),
+		scratch: make([]*event.Event, spec.NumSlots),
 	}
 	for j := range spec.Negs {
-		if spec.Negs[j].HashProbe != nil && !spec.DisableNegIndex {
-			nt.idx[j] = map[event.Value]*negBucket{}
+		neg := &spec.Negs[j]
+		nb := &nt.bufs[j]
+		nb.neg = neg
+		nb.endSorted = true
+		nb.lastEnd = minTime
+		if neg.HashProbe == nil || spec.DisableNegIndex {
+			nb.all = arena.getBucket()
+			continue
+		}
+		nb.idx = newKeyIndex[*negBucket]()
+		for i, c := range neg.Conds {
+			if i != neg.HashCond {
+				nb.resid = append(nb.resid, c)
+			}
 		}
 	}
 	return nt
 }
 
 // observe buffers an event of negation j's type (the caller matched
-// the schema) and registers it in the hash index.
+// the schema) and files it in its bucket.
 func (nt *negTracker) observe(j int, e *event.Event) {
-	n := &nt.negs[j]
-	nt.buf[j] = append(nt.buf[j], e)
-	if idx := nt.idx[j]; idx != nil {
-		k := e.At(n.HashField)
-		b := idx[k]
+	nb := &nt.bufs[j]
+	if end := e.Time.End; end < nb.lastEnd {
+		nb.endSorted = false
+	} else {
+		nb.lastEnd = end
+	}
+	b := nb.all
+	if nb.idx != nil {
+		k := e.At(nb.neg.HashField)
+		b = nb.idx.get(k)
 		switch {
 		case b == nil:
 			b = nt.arena.getBucket()
-			idx[k] = b
+			nb.idx.set(k, b)
 		case b.empty():
-			b.evs = b.evs[:0]
-			b.head = 0
-			nt.idxEmpty[j]--
+			nb.empties--
 		}
-		b.evs = append(b.evs, e)
+		nb.order = append(nb.order, b)
+	}
+	b.evs = append(b.evs, e)
+}
+
+// live counts the buffered events.
+func (nb *negBuf) live() int {
+	if nb.idx == nil {
+		return len(nb.all.evs) - nb.all.head
+	}
+	return len(nb.order) - nb.head
+}
+
+// each calls f on the buffered events in stream order.
+func (nb *negBuf) each(f func(*event.Event)) {
+	if nb.idx == nil {
+		for _, e := range nb.all.evs[nb.all.head:] {
+			f(e)
+		}
+		return
+	}
+	next := make(map[*negBucket]int)
+	for _, b := range nb.order[nb.head:] {
+		i, ok := next[b]
+		if !ok {
+			i = b.head
+		}
+		f(b.evs[i])
+		next[b] = i + 1
 	}
 }
 
-// expire advances every ring head past events older than negCut,
-// trimming the index buckets in step. Events enter the buffer (and
-// their bucket) in stream order and End() is non-decreasing, so the
-// expired set is a prefix of both the buffer and each bucket — each
-// expired event pops its bucket's front. Compaction runs only when
-// the dead prefix dominates the buffer, keeping amortized cost
-// O(expired) instead of an O(live) map rebuild.
+// expire drops every buffered event that ends before negCut.
 func (nt *negTracker) expire(negCut event.Time) {
-	for j := range nt.buf {
-		nt.expireBuf(j, negCut)
+	for j := range nt.bufs {
+		nb := &nt.bufs[j]
+		switch {
+		case !nb.endSorted:
+			nt.refilter(j, negCut)
+		case nb.idx == nil:
+			for b := nb.all; !b.empty() && b.evs[b.head].Time.End < negCut; {
+				b.pop()
+			}
+		default:
+			nt.expireIndexed(nb, negCut)
+		}
+		if nb.live() == 0 {
+			nb.endSorted = true
+			nb.lastEnd = minTime
+		}
 	}
 }
 
-func (nt *negTracker) expireBuf(j int, negCut event.Time) {
-	nb := nt.buf[j]
-	h := nt.head[j]
-	idx := nt.idx[j]
-	field := nt.negs[j].HashField
-	for h < len(nb) && nb[h].End() < negCut {
-		if idx != nil {
-			b := idx[nb[h].At(field)]
-			b.evs[b.head] = nil
-			b.head++
-			switch {
-			case b.empty():
-				b.evs = b.evs[:0]
-				b.head = 0
-				nt.idxEmpty[j]++
-			case b.head > 32 && 2*b.head >= len(b.evs):
-				n := copy(b.evs, b.evs[b.head:])
-				for i := n; i < len(b.evs); i++ {
-					b.evs[i] = nil
-				}
-				b.evs = b.evs[:n]
-				b.head = 0
-			}
+// expireIndexed pops the expired prefix of an End-sorted indexed
+// buffer: each expired event is the front of its bucket. Compaction
+// runs only when the dead prefix dominates, keeping amortized cost
+// O(expired).
+func (nt *negTracker) expireIndexed(nb *negBuf, negCut event.Time) {
+	order, h := nb.order, nb.head
+	for h < len(order) {
+		b := order[h]
+		if b.evs[b.head].Time.End >= negCut {
+			break
 		}
-		nb[h] = nil
+		if b.pop() {
+			nb.empties++
+		}
+		order[h] = nil
 		h++
 	}
 	switch {
-	case h == len(nb):
-		nb = nb[:0]
+	case h == len(order):
+		order = order[:0]
 		h = 0
-	case h > 64 && 2*h >= len(nb):
-		n := copy(nb, nb[h:])
-		nb = nb[:n]
+	case h > 64 && 2*h >= len(order):
+		n := copy(order, order[h:])
+		clear(order[n:])
+		order = order[:n]
 		h = 0
 	}
-	nt.buf[j] = nb
-	nt.head[j] = h
+	nb.order, nb.head = order, h
 	// Evict mapped-but-empty buckets only once they dominate the map —
 	// a hot key's bucket then stays put across live/empty cycles.
-	if idx != nil && nt.idxEmpty[j] > 64 && 2*nt.idxEmpty[j] >= len(idx) {
-		for k, b := range idx {
-			if b.empty() {
-				delete(idx, k)
-				nt.arena.putBucket(b)
+	if nb.empties > 64 && 2*nb.empties >= nb.idx.len() {
+		nb.idx.evict(func(b *negBucket) bool {
+			if !b.empty() {
+				return false
 			}
-		}
-		nt.idxEmpty[j] = 0
+			nt.arena.putBucket(b)
+			return true
+		})
+		nb.empties = 0
 	}
 }
 
-// reset discards all buffered events and returns index buckets to
-// the arena.
+// refilter expires a disordered buffer, whose expired events need not
+// form a prefix: it is rebuilt from its surviving events in stream
+// order.
+func (nt *negTracker) refilter(j int, negCut event.Time) {
+	nb := &nt.bufs[j]
+	keep := nt.keep[:0]
+	nb.each(func(e *event.Event) {
+		if e.Time.End >= negCut {
+			keep = append(keep, e)
+		}
+	})
+	if len(keep) < nb.live() {
+		nt.clearBuf(nb)
+		for _, e := range keep {
+			nt.observe(j, e)
+		}
+	}
+	clear(keep)
+	nt.keep = keep[:0]
+}
+
+// clearBuf discards a buffer's events and returns its index buckets
+// to the arena.
+func (nt *negTracker) clearBuf(nb *negBuf) {
+	nb.endSorted = true
+	nb.lastEnd = minTime
+	if nb.idx == nil {
+		b := nb.all
+		clear(b.evs)
+		b.evs = b.evs[:0]
+		b.head = 0
+		return
+	}
+	nb.idx.each(func(_ event.Value, b *negBucket) { nt.arena.putBucket(b) })
+	nb.idx.clear()
+	clear(nb.order)
+	nb.order = nb.order[:0]
+	nb.head = 0
+	nb.empties = 0
+}
+
+// reset discards all buffered events.
 func (nt *negTracker) reset() {
-	for j := range nt.buf {
-		nb := nt.buf[j]
-		for k := nt.head[j]; k < len(nb); k++ {
-			nb[k] = nil
-		}
-		nt.buf[j] = nb[:0]
-		nt.head[j] = 0
-		if idx := nt.idx[j]; idx != nil {
-			for _, b := range idx {
-				nt.arena.putBucket(b)
-			}
-			clear(idx)
-			nt.idxEmpty[j] = 0
-		}
+	for j := range nt.bufs {
+		nt.clearBuf(&nt.bufs[j])
 	}
 }
 
 // buffered counts the live buffered events across all negations.
 func (nt *negTracker) buffered() int {
 	total := 0
-	for j, nb := range nt.buf {
-		total += len(nb) - nt.head[j]
+	for j := range nt.bufs {
+		total += nt.bufs[j].live()
 	}
 	return total
 }
@@ -187,38 +291,68 @@ func (nt *negTracker) buffered() int {
 // satisfies all the negation's conditions (paper §4.1, sequence with
 // negation). Only non-trailing anchors call it; trailing negations
 // are handled through the pending-match deadline discipline.
+//
+// The probe copies the binding once, then scans the candidate bucket
+// newest-first: the violator of a time-ordered stream is usually the
+// newest eligible event, and in an End-sorted buffer the scan stops
+// at the first event ending at or before the lower bound, since
+// every older one does too.
 func (nt *negTracker) violated(j int, binding []*event.Event) bool {
-	neg := &nt.negs[j]
-	var lo event.Time = -1 << 62
+	nb := &nt.bufs[j]
+	neg := nb.neg
+	lo := minTime
 	if neg.Anchor > 0 {
 		lo = binding[nt.steps[neg.Anchor-1].Slot].Time.End
 	}
 	hi := binding[nt.steps[neg.Anchor].Slot].Time.Start
-	candidates := nt.buf[j][nt.head[j]:]
-	if idx := nt.idx[j]; idx != nil {
-		// Probe only the bucket matching the equi-join key; the
-		// residual conditions below re-verify it.
-		candidates = nil
-		if b := idx[neg.HashProbe.Eval(binding)]; b != nil {
-			candidates = b.evs[b.head:]
+	b, conds := nb.all, neg.Conds
+	if nb.idx != nil {
+		key := neg.HashProbe.Eval(binding)
+		if b = nb.idx.get(key); b == nil {
+			return false
+		}
+		if isIntKey(key) {
+			// Every event in an int bucket carries this very int, so
+			// the equi-join holds; the residual conditions decide.
+			conds = nb.resid
 		}
 	}
-	for _, nv := range candidates {
-		if nv.Time.Start <= lo || nv.Time.End >= hi {
+	evs := b.evs[b.head:]
+	if len(evs) == 0 {
+		return false
+	}
+	s := nt.scratch
+	copy(s, binding)
+	for i := len(evs) - 1; i >= 0; i-- {
+		nv := evs[i]
+		if nv.Time.End >= hi {
 			continue
 		}
-		if nt.condsHold(neg, binding, nv) {
+		if nv.Time.Start <= lo {
+			if nb.endSorted && nv.Time.End <= lo {
+				break
+			}
+			continue
+		}
+		s[neg.Slot] = nv
+		if allHold(conds, s) {
 			return true
 		}
 	}
 	return false
 }
 
+// condsHold reports whether nv satisfies every condition of neg
+// against binding.
 func (nt *negTracker) condsHold(neg *model.Negation, binding []*event.Event, nv *event.Event) bool {
 	copy(nt.scratch, binding)
 	nt.scratch[neg.Slot] = nv
-	for _, c := range neg.Conds {
-		if !c.EvalBool(nt.scratch) {
+	return allHold(neg.Conds, nt.scratch)
+}
+
+func allHold(conds []*predicate.Compiled, binding []*event.Event) bool {
+	for _, c := range conds {
+		if !c.EvalBool(binding) {
 			return false
 		}
 	}

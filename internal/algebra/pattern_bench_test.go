@@ -188,3 +188,27 @@ func BenchmarkPatternFilterHeavy(b *testing.B) {
 	}
 	benchPattern(b, newBenchStream(evs), p)
 }
+
+// BenchmarkPatternNegationProbe is the toll query's probe in
+// miniature: SEQ(NOT A p1, A p2) WHERE p1.k = p2.k AND p1.v + 30 =
+// p2.v, with 30 keys each reporting every 30 ticks, so about six
+// same-key events sit in each index bucket and the violator — the
+// key's previous report — is the newest eligible one. One report in
+// seven is dropped, so the report after the gap matches.
+func BenchmarkPatternNegationProbe(b *testing.B) {
+	spec, m := compileQuerySpec(b, patternModels, 3, 90)
+	sa, _ := m.Registry.Lookup("A")
+	evs := make([]*event.Event, 0, 4096)
+	for i := 0; i < 4096; i++ {
+		key := i % 30
+		if (i/30+key)%7 == 0 {
+			continue
+		}
+		evs = append(evs, event.MustNew(sa, event.Time(i), event.Int64(int64(i)), event.Int64(int64(key))))
+	}
+	p, err := NewPattern(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPattern(b, newBenchStream(evs), p)
+}

@@ -57,7 +57,7 @@ type autoKernel struct {
 type runState struct {
 	keyed   bool
 	all     *runBucket
-	buckets map[event.Value]*runBucket
+	buckets *keyIndex[*runBucket]
 	empties int
 	nodes   int
 
@@ -131,7 +131,7 @@ func newAutoKernel(prog *Program) *autoKernel {
 			st := &runState{endSorted: true, lastEnd: minTime}
 			if prog.trans[s+1].keyed {
 				st.keyed = true
-				st.buckets = map[event.Value]*runBucket{}
+				st.buckets = newKeyIndex[*runBucket]()
 			} else {
 				st.all = arena.getRunBucket()
 			}
@@ -208,18 +208,17 @@ func (k *autoKernel) trimState(st *runState, cut event.Time) {
 		k.trimBucket(st, st.all, cut)
 		return
 	}
-	for _, b := range st.buckets {
-		k.trimBucket(st, b, cut)
-	}
+	st.buckets.each(func(_ event.Value, b *runBucket) { k.trimBucket(st, b, cut) })
 	// Evict mapped-but-empty buckets only once they dominate the map;
 	// the generation stamp keeps ranges over evicted buckets inert.
-	if st.empties > 64 && 2*st.empties >= len(st.buckets) {
-		for key, b := range st.buckets {
-			if b.empty() {
-				delete(st.buckets, key)
-				k.arena.putRunBucket(b)
+	if st.empties > 64 && 2*st.empties >= st.buckets.len() {
+		st.buckets.evict(func(b *runBucket) bool {
+			if !b.empty() {
+				return false
 			}
-		}
+			k.arena.putRunBucket(b)
+			return true
+		})
 		st.empties = 0
 	}
 }
@@ -271,10 +270,8 @@ func (k *autoKernel) freeNode(nd *runNode) {
 func (k *autoKernel) reset() {
 	for _, st := range k.states {
 		if st.keyed {
-			for _, b := range st.buckets {
-				k.resetBucket(b)
-			}
-			st.empties = len(st.buckets)
+			st.buckets.each(func(_ event.Value, b *runBucket) { k.resetBucket(b) })
+			st.empties = st.buckets.len()
 		} else {
 			k.resetBucket(st.all)
 		}
@@ -377,11 +374,11 @@ func (k *autoKernel) insert(s int, nd *runNode) {
 			return
 		}
 		kk := normKey(key)
-		b = st.buckets[kk]
+		b = st.buckets.get(kk)
 		switch {
 		case b == nil:
 			b = k.arena.getRunBucket()
-			st.buckets[kk] = b
+			st.buckets.set(kk, b)
 		case b.empty() && st.empties > 0:
 			// Reviving a trimmed-empty bucket (trim normalized it).
 			st.empties--
@@ -523,7 +520,7 @@ func (k *autoKernel) lookup(s int, tr *transition) *runBucket {
 	if key.Kind != tr.keyKind {
 		return nil
 	}
-	return st.buckets[normKey(key)]
+	return st.buckets.get(normKey(key))
 }
 
 // walkRange enumerates the runs of b with sequence in [lo, hi),

@@ -155,17 +155,17 @@ func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
 			continue
 		}
 		enc.Bool(true)
-		keys := make([]event.Value, 0, len(st.buckets))
-		for key, b := range st.buckets {
+		keys := make([]event.Value, 0, st.buckets.len())
+		st.buckets.each(func(key event.Value, b *runBucket) {
 			if !b.empty() {
 				keys = append(keys, key)
 			}
-		}
+		})
 		sort.Slice(keys, func(i, j int) bool { return valueLess(keys[i], keys[j]) })
 		enc.Uvarint(uint64(len(keys)))
 		for _, key := range keys {
 			enc.Value(key)
-			saveBucket(st.buckets[key])
+			saveBucket(st.buckets.get(key))
 		}
 	}
 
@@ -312,7 +312,7 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 		for i := uint64(0); i < nb; i++ {
 			key := d.Value()
 			b := k.arena.getRunBucket()
-			st.buckets[key] = b
+			st.buckets.set(key, b)
 			if err := loadBucket(st, b); err != nil {
 				return err
 			}
@@ -374,13 +374,11 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 // indexes are not written: load rebuilds them through observe, which
 // reproduces the bucket layout deterministically.
 func (nt *negTracker) save(enc *wire.Enc, tab *wire.EventTable) {
-	enc.Uvarint(uint64(len(nt.buf)))
-	for j := range nt.buf {
-		live := nt.buf[j][nt.head[j]:]
-		enc.Uvarint(uint64(len(live)))
-		for _, e := range live {
-			enc.Uvarint(tab.ID(e))
-		}
+	enc.Uvarint(uint64(len(nt.bufs)))
+	for j := range nt.bufs {
+		nb := &nt.bufs[j]
+		enc.Uvarint(uint64(nb.live()))
+		nb.each(func(e *event.Event) { enc.Uvarint(tab.ID(e)) })
 	}
 }
 
@@ -390,10 +388,10 @@ func (nt *negTracker) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if n != uint64(len(nt.buf)) {
-		return fmt.Errorf("algebra: snapshot: %d negation buffers on the wire, program has %d", n, len(nt.buf))
+	if n != uint64(len(nt.bufs)) {
+		return fmt.Errorf("algebra: snapshot: %d negation buffers on the wire, program has %d", n, len(nt.bufs))
 	}
-	for j := range nt.buf {
+	for j := range nt.bufs {
 		cnt := d.Uvarint()
 		if d.Err() != nil {
 			return d.Err()

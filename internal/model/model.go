@@ -60,6 +60,7 @@ type Step struct {
 // p1.vid = p2.vid), HashField/HashProbe record it so the pattern
 // operator can index its negation buffer by that attribute instead
 // of scanning it (HashProbe is nil when no such condition exists).
+// HashCond is that condition's position in Conds.
 type Negation struct {
 	Schema *event.Schema
 	Var    string
@@ -69,6 +70,7 @@ type Negation struct {
 
 	HashField int
 	HashProbe *predicate.Compiled
+	HashCond  int
 }
 
 // Pattern is a compiled PATTERN clause: the positive SEQ steps in
@@ -447,8 +449,8 @@ func (q *Query) attachWhere(d *lang.QueryDecl) error {
 			q.Filters = append(q.Filters, c)
 		case 1:
 			owner.Conds = append(owner.Conds, c)
-			if owner.HashProbe == nil {
-				q.tryHashCond(owner, conj)
+			if owner.HashProbe == nil && q.tryHashCond(owner, conj) {
+				owner.HashCond = len(owner.Conds) - 1
 			}
 		default:
 			return fmt.Errorf("caesar: %s: WHERE conjunct %s relates two negated variables; not supported",
@@ -460,12 +462,12 @@ func (q *Query) attachWhere(d *lang.QueryDecl) error {
 
 // tryHashCond recognizes an equi-join between the negated variable
 // and the positive variables in the conjunct and records it on the
-// negation for buffer indexing. Failure to recognize is fine — the
-// pattern falls back to scanning.
-func (q *Query) tryHashCond(neg *Negation, conj lang.Expr) {
+// negation for buffer indexing, reporting whether it did. Failure to
+// recognize is fine — the pattern falls back to scanning.
+func (q *Query) tryHashCond(neg *Negation, conj lang.Expr) bool {
 	b, ok := conj.(*lang.BinaryExpr)
 	if !ok || b.Op != lang.OpEq {
-		return
+		return false
 	}
 	try := func(refSide, probeSide lang.Expr) bool {
 		ref, ok := refSide.(*lang.AttrRef)
@@ -497,10 +499,7 @@ func (q *Query) tryHashCond(neg *Negation, conj lang.Expr) {
 		neg.HashProbe = probe
 		return true
 	}
-	if try(b.L, b.R) {
-		return
-	}
-	try(b.R, b.L)
+	return try(b.L, b.R) || try(b.R, b.L)
 }
 
 func (m *Model) indexWorkloads() {

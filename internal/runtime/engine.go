@@ -85,8 +85,9 @@ type Config struct {
 	// stream partitions end to end, fed through lock-free SPSC rings.
 	// Shards == 1 preserves the legacy pipeline (distributor + worker
 	// pool) byte-for-byte. Shards == 0 defaults to GOMAXPROCS when
-	// Workers is also unset; an explicitly configured Workers keeps
-	// the legacy pool for compatibility. Requires the pipelined
+	// Workers and DisablePipeline are also unset; an explicitly
+	// configured Workers keeps the legacy pool for compatibility, and
+	// DisablePipeline resolves to 1. Requires the pipelined
 	// ingest path (incompatible with DisablePipeline) when > 1.
 	Shards int
 	// Pacing, when positive, replays the stream in real time: one
@@ -289,9 +290,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	nShards := cfg.Shards
 	if nShards == 0 {
-		if cfg.Workers != 0 {
-			// An explicitly sized worker pool keeps the legacy
-			// pipeline: existing configurations behave identically.
+		if cfg.Workers != 0 || cfg.DisablePipeline {
+			// An explicitly sized worker pool or the synchronous loop
+			// keeps the unsharded path on any host, whatever its
+			// core count.
 			nShards = 1
 		} else {
 			nShards = gort.GOMAXPROCS(0)

@@ -14,7 +14,10 @@
 // Safety: a worker processes its messages in timestamp order, so its
 // unprocessed events all carry timestamps above its completed mark;
 // events dispatched after the bound was computed carry timestamps
-// above the last dispatched tick, which also caps the bound; and
+// above the last dispatched tick, which also caps the bound; batches
+// still in the read-ahead ring carry timestamps above the last
+// released batch's, which caps it too (a resumed run dedups its
+// re-fed stream with lastTS already at the recovery point); and
 // pattern state (partials, negation buffers, pending matches) only
 // references events within 2·horizon of a completed transaction,
 // which the slack term covers. Aggregation and projection copy
@@ -384,9 +387,10 @@ func (e *Engine) RunBatches(src event.BatchSource) (*Stats, error) {
 			ring.abort()
 			break
 		}
+		released := b.Events[len(b.Events)-1].End()
 		ring.release(b)
 		if rec != nil {
-			r.publishWatermark(slack)
+			r.publishWatermark(slack, released)
 		}
 	}
 	for range ring.data { // drain after abort so the decoder unblocks
@@ -435,15 +439,20 @@ func (r *run) dispatchBatch(b *event.Batch) error {
 }
 
 // publishWatermark advances the reclamation bound. The minimum runs
-// over the last dispatched tick and the completed mark of every
-// worker that still holds undispatched-into-it work (sentTS is
-// dispatcher-owned, so "holds work" is exact here; a lagging
-// completed read only makes the bound conservative).
-func (r *run) publishWatermark(slack int64) {
+// over the last dispatched tick, the last tick of the batch just
+// released (below lastTS while a resumed run dedups its re-fed
+// stream) and the completed mark of every worker that still holds
+// undispatched-into-it work (sentTS is dispatcher-owned, so "holds
+// work" is exact here; a lagging completed read only makes the bound
+// conservative).
+func (r *run) publishWatermark(slack int64, released event.Time) {
 	if !r.haveLast {
 		return
 	}
 	min := int64(r.lastTS)
+	if int64(released) < min {
+		min = int64(released)
+	}
 	for _, w := range r.workers {
 		if done := w.completed.Load(); w.sentTS > done && done < min {
 			min = done

@@ -453,15 +453,21 @@ func (r *shardedRun) flush() {
 }
 
 // publishWatermark advances the reclamation bound: the minimum over
-// the last routed tick and the completed mark of every shard that
-// still holds routed-but-unexecuted work (sentTS is router-owned, so
-// "holds work" is exact; a lagging completed read only makes the
-// bound conservative).
-func (r *shardedRun) publishWatermark() {
+// the last routed tick, the last tick of the batch just released, and
+// the completed mark of every shard that still holds
+// routed-but-unexecuted work (sentTS is router-owned, so "holds work"
+// is exact; a lagging completed read only makes the bound
+// conservative). The released bound matters on a resumed run: lastTS
+// starts at the recovery point while the re-fed stream, and the
+// read-ahead ring's batches, are still far behind it.
+func (r *shardedRun) publishWatermark(released event.Time) {
 	if !r.haveLast {
 		return
 	}
 	min := int64(r.lastTS)
+	if int64(released) < min {
+		min = int64(released)
+	}
 	for _, s := range r.shards {
 		if done := s.completed.Load(); s.sentTS > done && done < min {
 			min = done
@@ -635,9 +641,10 @@ func (e *Engine) runSharded(src event.BatchSource) (*Stats, error) {
 			ring.abort()
 			break
 		}
+		released := b.Events[len(b.Events)-1].End()
 		ring.release(b)
 		if rec != nil {
-			r.publishWatermark()
+			r.publishWatermark(released)
 		}
 	}
 	for range ring.data { // drain after abort so the decoder unblocks

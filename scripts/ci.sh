@@ -32,6 +32,12 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# Topology defaults resolve from GOMAXPROCS: run the runtime and the
+# root differentials at several core counts so a default that only
+# holds on one of them cannot hide.
+echo "== go test -cpu 1,2,4 (runtime topology)"
+go test -cpu 1,2,4 ./internal/runtime/ .
+
 # Focused race pass over the telemetry layer and its runtime callers:
 # the live-scrape contract (lock-free counters read while N workers
 # write) is exactly what the race detector exercises here, with the
@@ -62,6 +68,7 @@ echo "== bench guard (0 allocs/op hot paths)"
 check_zero_allocs 'BenchmarkPatternTwoStepJoin$' ./internal/algebra/
 check_zero_allocs 'BenchmarkPatternExtensionHeavy$' ./internal/algebra/
 check_zero_allocs 'BenchmarkPatternNegationHeavy$' ./internal/algebra/
+check_zero_allocs 'BenchmarkPatternNegationProbe$' ./internal/algebra/
 check_zero_allocs 'BenchmarkDistributor$' ./internal/runtime/
 check_zero_allocs 'BenchmarkShardRouter$' ./internal/runtime/
 check_zero_allocs 'BenchmarkSpscRing$' ./internal/runtime/
@@ -102,9 +109,10 @@ check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 # Kernel differential under the race detector, at higher counts than
 # the suite-wide pass: the shared-run automaton must stay emission-
 # identical to the preserved legacy kernel, including under the
-# pipelined multi-worker engine.
+# pipelined multi-worker engine, and the negation probe must agree
+# with the reference kernel under disorder and snapshot restore.
 echo "== go test -race (kernel differential focus)"
-go test -race -count=2 -run 'TestKernelDifferentialFuzz|TestPatternKernelEquivalence' ./internal/algebra/
+go test -race -count=2 -run 'TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestNegationDifferential' ./internal/algebra/
 go test -race -count=2 -run 'TestPatternKernelsByteIdentical' .
 
 # Sharded runtime differential under the race detector: shards>1 must
@@ -132,7 +140,7 @@ go test -race -run 'TestDerivedArenaTollByteIdentical' .
 # BenchmarkShardRouter run without a durable dir, so durability may
 # add nothing but nil checks there).
 echo "== go test -race (durability: crash recovery differential)"
-go test -race -count=2 -run 'TestCrashRecoveryDifferential|TestDurableResumeAfterCleanFinish' ./internal/runtime/
+go test -race -count=2 -run 'TestCrashRecoveryDifferential|TestDurableResumeAfterCleanFinish|TestDurableResumeOverReader' ./internal/runtime/
 go test -race -count=2 ./internal/durability/ ./internal/wire/
 
 echo "== ci OK"

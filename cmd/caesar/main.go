@@ -40,7 +40,6 @@ func main() {
 	shards := flag.Int("shards", 1, "engine shards, each owning its partitions end to end (1 = classic pipeline, 0 = GOMAXPROCS)")
 	pacing := flag.Duration("pacing", 0, "wall time per application time unit (0 = as fast as possible)")
 	readAhead := flag.Int("read-ahead", 0, "ingest read-ahead ring depth in batches (0 = default)")
-	noPipeline := flag.Bool("no-pipeline", false, "disable the pipelined ingest path (decode inline with dispatch)")
 	heapDerived := flag.Bool("heap-derived", false, "construct derived events on the GC heap instead of the worker slab arenas")
 	durableDir := flag.String("durable-dir", "", "directory for the input WAL and state checkpoints; a re-run over the same directory recovers and resumes")
 	ckptEvery := flag.Int("checkpoint-interval", 0, "ticks between state checkpoints (0 = default; used with -durable-dir)")
@@ -82,7 +81,6 @@ func main() {
 		Shards:              *shards,
 		Pacing:              *pacing,
 		ReadAhead:           *readAhead,
-		DisablePipeline:     *noPipeline,
 		DisableDerivedArena: *heapDerived,
 		DurableDir:          *durableDir,
 		CheckpointEvery:     *ckptEvery,

@@ -20,7 +20,6 @@ func TestDerivedArenaTollByteIdentical(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sync", Config{Workers: 3, DisablePipeline: true}},
 		{"pipelined", Config{Workers: 3}},
 		{"shards=1", Config{Shards: 1, Workers: 3}},
 		{"shards=2", Config{Shards: 2}},

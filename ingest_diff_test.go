@@ -2,7 +2,6 @@ package caesar
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -73,14 +72,20 @@ func encodeWire(t *testing.T, evs []*Event) []byte {
 	return wire.Bytes()
 }
 
-// TestIngestPathsByteIdentical is the PR's acceptance differential:
-// the preserved synchronous per-event loop, the pipelined batch path
-// over GC-managed events, the wire decoder's arena path and the
-// arena-backed generator must produce byte-identical derived events
-// and identical run statistics on the toll-notification workload.
+// perEventSource yields events one at a time through the per-event
+// Source protocol only, so Engine.Run must adapt it with the Batcher.
+type perEventSource struct{ src *SliceSource }
+
+func (p perEventSource) Next() *Event { return p.src.Next() }
+
+// TestIngestPathsByteIdentical is the ingest acceptance test: a
+// per-event source adapted through the Batcher, the pipelined batch
+// path over GC-managed events, the wire decoder's arena path and the
+// arena-backed generator must all reproduce the pinned toll outputs
+// and run statistics.
 func TestIngestPathsByteIdentical(t *testing.T) {
-	outSync, stSync := runToll(t, Config{Workers: 3, DisablePipeline: true}, func(e *Engine, evs []*Event) (*Stats, error) {
-		return e.Run(NewSliceSource(evs))
+	outEvent, stEvent := runToll(t, Config{Workers: 3}, func(e *Engine, evs []*Event) (*Stats, error) {
+		return e.Run(perEventSource{NewSliceSource(evs)})
 	})
 	outBatch, stBatch := runToll(t, Config{Workers: 3}, func(e *Engine, evs []*Event) (*Stats, error) {
 		return e.Run(NewSliceSource(evs))
@@ -96,43 +101,23 @@ func TestIngestPathsByteIdentical(t *testing.T) {
 		return e.RunBatches(s)
 	})
 
-	if outSync == "" {
-		t.Fatal("toll workload derived nothing")
-	}
-	for name, out := range map[string]string{"batch": outBatch, "wire": outWire, "stream": outStream} {
-		if out != outSync {
-			t.Errorf("%s ingest output diverges from the synchronous path (%d vs %d bytes)",
-				name, len(out), len(outSync))
-		}
-	}
-	for name, st := range map[string]*Stats{"batch": stBatch, "wire": stWire, "stream": stStream} {
-		if st.Events != stSync.Events || st.OutputCount != stSync.OutputCount ||
-			st.Transitions != stSync.Transitions || st.Partitions != stSync.Partitions {
-			t.Errorf("%s ingest stats diverge: %+v vs %+v", name, st, stSync)
-		}
-		if !reflect.DeepEqual(st.PerType, stSync.PerType) {
-			t.Errorf("%s per-type counts diverge: %v vs %v", name, st.PerType, stSync.PerType)
-		}
-		if !reflect.DeepEqual(st.Contexts, stSync.Contexts) {
-			t.Errorf("%s context stats diverge: %v vs %v", name, st.Contexts, stSync.Contexts)
-		}
-	}
-	// The arena paths must actually have pipelined: batches counted,
-	// and the wire reader's slabs reclaimed behind the watermark.
-	if stBatch.Batches == 0 || stWire.Batches == 0 || stStream.Batches == 0 {
-		t.Errorf("pipelined runs reported no batches: %d/%d/%d",
-			stBatch.Batches, stWire.Batches, stStream.Batches)
-	}
-	if stSync.Batches != 0 {
-		t.Errorf("synchronous run reported %d batches", stSync.Batches)
+	checkTollDigest(t, "per-event", outEvent, stEvent)
+	checkTollDigest(t, "batch", outBatch, stBatch)
+	checkTollDigest(t, "wire", outWire, stWire)
+	checkTollDigest(t, "stream", outStream, stStream)
+	// Every path must actually have pipelined (batches counted), and
+	// the wire reader's slabs must be reclaimed behind the watermark.
+	if stEvent.Batches == 0 || stBatch.Batches == 0 || stWire.Batches == 0 || stStream.Batches == 0 {
+		t.Errorf("pipelined runs reported no batches: %d/%d/%d/%d",
+			stEvent.Batches, stBatch.Batches, stWire.Batches, stStream.Batches)
 	}
 	// Mid-run reclamation needs worker progress concurrent with decode:
 	// the watermark follows the workers' completed marks, and on a
 	// single P the buffered hand-off legitimately defers execution
 	// until decode quiesces, so reclaim activity is only a meaningful
 	// assertion with ≥2 scheduler threads (the correctness of the
-	// reclaim bound itself is covered by the byte-identical diff above
-	// and the arena unit tests).
+	// reclaim bound itself is covered by the pinned digests above and
+	// the arena unit tests).
 	if runtime.GOMAXPROCS(0) > 1 && stWire.ReclaimedChunks == 0 {
 		t.Error("wire ingest never reclaimed an arena slab")
 	}

@@ -36,8 +36,7 @@ type Program struct {
 	Spec PatternSpec
 
 	// filterAt[i] lists the indices of Spec.Filters that become fully
-	// bound once step i is bound — the eager evaluation schedule,
-	// shared with the legacy kernel.
+	// bound once step i is bound — the eager evaluation schedule.
 	filterAt [][]int
 
 	// trans[i] drives the consumption of step i's events (1 <= i <

@@ -8,9 +8,7 @@ import (
 
 // negTracker owns the negation side of a pattern operator: the
 // per-negation event buffers, their hash indexes and the
-// completion-time violation checks. Both kernels (the automaton and
-// the preserved legacy kernel) share it, so negation semantics are
-// identical by construction.
+// completion-time violation checks.
 type negTracker struct {
 	steps []model.Step
 	arena *kernelArena

@@ -4,7 +4,6 @@ import (
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/predicate"
-	"github.com/caesar-cep/caesar/internal/wire"
 )
 
 // PatternSpec configures a pattern operator instance.
@@ -25,11 +24,6 @@ type PatternSpec struct {
 	// DisableNegIndex turns off the negation-buffer hash index (used
 	// by the ablation benchmarks to quantify its benefit).
 	DisableNegIndex bool
-	// LegacyKernel selects the preserved per-combination partial
-	// kernel instead of the shared-run automaton. The differential
-	// tests and ablation benchmarks use it; production plans leave it
-	// off.
-	LegacyKernel bool
 	// Horizon bounds the time span of a match: a partial match whose
 	// first event is older than Horizon expires, and a trailing
 	// negation holds back emission for Horizon time units. Must be
@@ -40,13 +34,12 @@ type PatternSpec struct {
 // PatternStats counts the work a pattern instance has performed; the
 // benchmark harness and tests read these.
 //
-// EventsSeen, MatchesEmitted and MatchesNegated are kernel-independent
-// (the differential tests assert exact parity across kernels). The
-// remaining counters describe kernel-internal work and differ by
-// construction: the legacy kernel counts materialized partial
-// combinations, while the automaton kernel counts shared run nodes
-// (PartialsCreated/PartialsExpired) and enumeration-time predicate
-// rejections (FilteredOut).
+// EventsSeen, MatchesEmitted and MatchesNegated are semantic counts
+// (the differential tests assert exact parity with the reference
+// evaluator). The remaining counters describe kernel-internal work:
+// shared run nodes created and expired (PartialsCreated and
+// PartialsExpired, names kept for the snapshot wire format) and
+// enumeration-time predicate rejections (FilteredOut).
 type PatternStats struct {
 	EventsSeen      uint64
 	PartialsCreated uint64
@@ -58,13 +51,11 @@ type PatternStats struct {
 
 // Footprint is the retained state of a pattern operator: what the
 // garbage collector, the telemetry gauges and the tests observe.
-// Partials counts legacy-kernel partial combinations; RunNodes and
-// PredEntries count the automaton kernel's shared-run DAG (nodes and
-// predecessor-set entries — a range predecessor counts as one entry
-// regardless of how many nodes it spans, which is exactly the
-// sharing the automaton buys).
+// RunNodes and PredEntries count the automaton kernel's shared-run
+// DAG (nodes and predecessor-set entries — a range predecessor counts
+// as one entry regardless of how many nodes it spans, which is
+// exactly the sharing the automaton buys).
 type Footprint struct {
-	Partials    int
 	NegBuffered int
 	Pending     int
 	RunNodes    int
@@ -74,22 +65,7 @@ type Footprint struct {
 // Retained sums the footprint's record counts (used by tests that
 // only care whether state is held at all).
 func (f Footprint) Retained() int {
-	return f.Partials + f.NegBuffered + f.Pending + f.RunNodes + f.PredEntries
-}
-
-// kernel is the internal engine behind a Pattern: either the
-// shared-run automaton (runs.go) or the preserved legacy kernel
-// (pattern_legacy.go). Both consume the same compiled Program.
-type kernel interface {
-	advance(now event.Time, out []*Match) []*Match
-	process(batch []*event.Event, out []*Match) []*Match
-	reset()
-	stats() PatternStats
-	footprint() Footprint
-	release(ms []*Match)
-	arenaChunks() int
-	save(enc *wire.Enc, tab *wire.EventTable) error
-	load(d *wire.Dec, evs *wire.RestoredEvents) error
+	return f.NegBuffered + f.Pending + f.RunNodes + f.PredEntries
 }
 
 // Pattern is the P operator (paper §4.1): it consumes an event
@@ -101,23 +77,20 @@ type kernel interface {
 // The spec is first compiled into a Program (automaton.go): the SEQ
 // steps become automaton states, and WHERE conjuncts are scheduled
 // onto the earliest transition (or the latest enumeration level)
-// where their variables are bound. The default kernel then runs the
-// program over a shared-run DAG (runs.go) with lazy match
-// enumeration; PatternSpec.LegacyKernel selects the preserved
-// per-combination kernel instead.
+// where their variables are bound. The kernel then runs the program
+// over a shared-run DAG (runs.go) with lazy match enumeration.
 //
-// All kernel state — run nodes, partial records, binding regions,
-// Match and pendingMatch records — lives in a per-operator arena
-// (arena.go) and recycles on expiry, rejection, Reset and Release,
-// so steady-state processing performs no heap allocation.
+// All kernel state — run nodes, binding regions, Match and
+// pendingMatch records — lives in a per-operator arena (arena.go)
+// and recycles on expiry, rejection, Reset and Release, so
+// steady-state processing performs no heap allocation.
 type Pattern struct {
 	prog *Program
-	k    kernel
+	k    *autoKernel
 }
 
 // pendingMatch is a completed match waiting out a trailing
-// negation's deadline. Both kernels share the representation (and
-// its arena pool).
+// negation's deadline.
 type pendingMatch struct {
 	m        *Match
 	lastEnd  event.Time
@@ -139,13 +112,7 @@ func NewPattern(spec PatternSpec) (*Pattern, error) {
 // plan and shares it across all partition instances; the program is
 // immutable after compilation, so sharing is safe across workers.
 func NewPatternFromProgram(prog *Program) *Pattern {
-	p := &Pattern{prog: prog}
-	if prog.Spec.LegacyKernel {
-		p.k = newLegacyKernel(prog)
-	} else {
-		p.k = newAutoKernel(prog)
-	}
-	return p
+	return &Pattern{prog: prog, k: newAutoKernel(prog)}
 }
 
 // Program returns the compiled program the operator runs.
@@ -167,7 +134,7 @@ func (p *Pattern) Reset() { p.k.reset() }
 // projected the matches into derived events; the matches and their
 // bindings must not be read afterwards. Callers that retain matches
 // (tests, ad-hoc drivers) simply never call it — the arena then grows
-// like the pre-arena kernel allocated.
+// instead of recycling.
 func (p *Pattern) Release(ms []*Match) { p.k.release(ms) }
 
 // ArenaChunks reports how many slabs the operator's arena has

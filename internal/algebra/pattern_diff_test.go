@@ -11,7 +11,7 @@ import (
 
 // matchTrace renders matches in emission order, including the match
 // interval and arrival stamp — the automaton must reproduce the
-// legacy kernel's emissions exactly, not merely as a set.
+// reference evaluator's emissions exactly, not merely as a set.
 func matchTrace(ms []*Match) []string {
 	keys := make([]string, len(ms))
 	for i, m := range ms {
@@ -42,29 +42,24 @@ func joinHeavyStream(rng *rand.Rand, reg *event.Registry, n int) []*event.Event 
 }
 
 // TestKernelDifferentialFuzz drives the shared-run automaton and the
-// preserved legacy kernel over seeded join-heavy random streams —
-// runtime-style tick grouping, mid-stream Resets, Release after every
-// drain so recycled records are actively reused — and requires
-// identical emissions (bindings, order, match intervals, arrival
-// stamps) at every drain point, plus exact parity on the
-// kernel-independent counters (EventsSeen, MatchesEmitted,
-// MatchesNegated; the partial/filter counters are kernel-specific by
-// construction, see PatternStats).
+// per-combination reference evaluator (refPattern) over seeded
+// join-heavy random streams — runtime-style tick grouping, mid-stream
+// Resets, Release after every drain so recycled records are actively
+// reused — and requires identical emissions (bindings, order, match
+// intervals, arrival stamps) at every drain point, plus exact parity
+// on the semantic counters (EventsSeen, MatchesEmitted,
+// MatchesNegated; the run-node and filter counters describe kernel
+// work, see PatternStats).
 func TestKernelDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1318))
 	for qi := 0; qi < 6; qi++ {
 		for trial := 0; trial < 40; trial++ {
 			spec, m := compileQuerySpec(t, patternModels, qi, int64(10+rng.Intn(80)))
-			legacy := spec
-			legacy.LegacyKernel = true
 			ak, err := NewPattern(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lk, err := NewPattern(legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := newRefPattern(spec)
 			evs := joinHeavyStream(rng, m.Registry, 80)
 			resetAt := -1
 			if rng.Intn(3) == 0 {
@@ -72,7 +67,7 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 			}
 
 			var gotAll, wantAll [][]string
-			var aScratch, lScratch []*Match
+			var scratch []*Match
 			i := 0
 			for i < len(evs) {
 				ts := evs[i].End()
@@ -82,38 +77,34 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 				}
 				if resetAt >= i && resetAt < j {
 					ak.Reset()
-					lk.Reset()
+					ref.reset()
 				}
-				got := ak.Advance(ts, aScratch[:0])
+				got := ak.Advance(ts, scratch[:0])
 				got = ak.Process(evs[i:j], got)
 				gotAll = append(gotAll, matchTrace(got))
 				ak.Release(got)
-				aScratch = got
+				scratch = got
 
-				want := lk.Advance(ts, lScratch[:0])
-				want = lk.Process(evs[i:j], want)
+				want := ref.advance(ts, nil)
+				want = ref.process(evs[i:j], want)
 				wantAll = append(wantAll, matchTrace(want))
-				lk.Release(want)
-				lScratch = want
 				i = j
 			}
 			flush := event.Time(1) << 40
-			got := ak.Advance(flush, aScratch[:0])
+			got := ak.Advance(flush, scratch[:0])
 			gotAll = append(gotAll, matchTrace(got))
 			ak.Release(got)
-			want := lk.Advance(flush, lScratch[:0])
-			wantAll = append(wantAll, matchTrace(want))
-			lk.Release(want)
+			wantAll = append(wantAll, matchTrace(ref.advance(flush, nil)))
 
 			if !reflect.DeepEqual(gotAll, wantAll) {
-				t.Fatalf("query %d trial %d: kernels disagree\nstream: %v\n automaton: %v\n    legacy: %v",
+				t.Fatalf("query %d trial %d: kernels disagree\nstream: %v\n automaton: %v\n reference: %v",
 					qi, trial, evs, gotAll, wantAll)
 			}
-			as, ls := ak.Stats(), lk.Stats()
-			if as.EventsSeen != ls.EventsSeen || as.MatchesEmitted != ls.MatchesEmitted ||
-				as.MatchesNegated != ls.MatchesNegated {
-				t.Fatalf("query %d trial %d: kernel-independent stats diverge\nautomaton: %+v\n   legacy: %+v",
-					qi, trial, as, ls)
+			as, rs := ak.Stats(), ref.stats
+			if as.EventsSeen != rs.EventsSeen || as.MatchesEmitted != rs.MatchesEmitted ||
+				as.MatchesNegated != rs.MatchesNegated {
+				t.Fatalf("query %d trial %d: semantic stats diverge\nautomaton: %+v\nreference: %+v",
+					qi, trial, as, rs)
 			}
 			ak.Reset()
 			if f := ak.MemoryFootprint(); f.Retained() != 0 {

@@ -9,12 +9,14 @@ import (
 	"github.com/caesar-cep/caesar/internal/model"
 )
 
-// refPattern is the pre-arena pattern kernel, preserved verbatim as
-// the differential-testing reference: per-extension heap-allocated
-// bindings and *partial records, full negation-index rebuilds in
-// Advance, fresh maps in Reset. The arena kernel must emit exactly
-// the same matches under any interleaving of Advance, Process, Reset
-// and Release.
+// refPattern is the differential-testing reference for the pattern
+// operator: a deliberately naive per-combination evaluator with
+// per-extension heap-allocated bindings and *partial records, full
+// negation-index rebuilds in Advance and fresh maps in Reset. The
+// shared-run automaton must emit exactly the same matches, in the
+// same order, under any interleaving of Advance, Process, Reset and
+// Release, and agree on the semantic counters kept in stats
+// (EventsSeen, MatchesEmitted, MatchesNegated).
 type refPattern struct {
 	spec     PatternSpec
 	filterAt [][]int
@@ -23,6 +25,7 @@ type refPattern struct {
 	negIdx   []map[event.Value][]*event.Event
 	pending  []*refPending
 	scratch  []*event.Event
+	stats    PatternStats
 }
 
 type refPartial struct {
@@ -112,6 +115,7 @@ func (p *refPattern) advance(now event.Time, out []*Match) []*Match {
 			case pm.killed:
 			case pm.deadline < now:
 				out = append(out, pm.m)
+				p.stats.MatchesEmitted++
 			default:
 				kept = append(kept, pm)
 			}
@@ -129,6 +133,7 @@ func (p *refPattern) process(batch []*event.Event, out []*Match) []*Match {
 }
 
 func (p *refPattern) processEvent(e *event.Event, out []*Match) []*Match {
+	p.stats.EventsSeen++
 	for j := range p.spec.Negs {
 		n := &p.spec.Negs[j]
 		if n.Schema != e.Schema {
@@ -205,6 +210,7 @@ func (p *refPattern) complete(pa *refPartial, out []*Match) []*Match {
 			continue
 		}
 		if p.violated(neg, j, pa.binding) {
+			p.stats.MatchesNegated++
 			return out
 		}
 	}
@@ -215,6 +221,7 @@ func (p *refPattern) complete(pa *refPartial, out []*Match) []*Match {
 			return out
 		}
 	}
+	p.stats.MatchesEmitted++
 	return append(out, m)
 }
 
@@ -257,6 +264,7 @@ func (p *refPattern) killPending(neg *model.Negation, nv *event.Event) {
 		}
 		if p.condsHold(neg, pm.m.Binding, nv) {
 			pm.killed = true
+			p.stats.MatchesNegated++
 		}
 	}
 }

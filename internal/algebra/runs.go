@@ -9,16 +9,17 @@ import (
 const minTime = event.Time(-1 << 62)
 
 // autoKernel runs a compiled Program over a shared-run DAG
-// (DESIGN.md §3.5). Where the legacy kernel materializes one partial
-// record per open step combination, the automaton keeps ONE run node
-// per (state, consumed event): the node back-points to its whole
-// predecessor set — a contiguous range of a predecessor bucket when
-// the transition has no per-pair residual filters, an explicit list
-// otherwise. Update work per event is therefore independent of how
+// (DESIGN.md §3.5). Where a per-combination evaluator materializes
+// one partial record per open step combination, the automaton keeps
+// ONE run node per (state, consumed event): the node back-points to
+// its whole predecessor set — a contiguous range of a predecessor
+// bucket when the transition has no per-pair residual filters, an
+// explicit list otherwise. Update work per event is therefore independent of how
 // many combinations the event participates in; full matches are
 // enumerated lazily from the DAG only when a completion event
 // arrives, walking back-pointers oldest-first so emission order is
-// identical to the legacy kernel's.
+// identical to the per-combination reference evaluator's
+// (refPattern, pattern_ref_test.go).
 type autoKernel struct {
 	prog  *Program
 	arena *kernelArena
@@ -524,8 +525,8 @@ func (k *autoKernel) lookup(s int, tr *transition) *runBucket {
 }
 
 // walkRange enumerates the runs of b with sequence in [lo, hi),
-// oldest first — the same order the legacy kernel's partial lists
-// preserve. gen guards against the bucket having been recycled.
+// oldest first — the same order the reference evaluator's partial
+// lists preserve. gen guards against the bucket having been recycled.
 func (k *autoKernel) walkRange(s int, b *runBucket, gen uint32, lo, hi int64, succStart event.Time, arrival int64, out []*Match) []*Match {
 	if b.gen != gen {
 		return out

@@ -42,14 +42,6 @@ func (p *Pattern) Load(d *wire.Dec, evs *wire.RestoredEvents) error {
 	return p.k.load(d, evs)
 }
 
-func (k *legacyKernel) save(*wire.Enc, *wire.EventTable) error {
-	return fmt.Errorf("algebra: the legacy pattern kernel does not support snapshots")
-}
-
-func (k *legacyKernel) load(*wire.Dec, *wire.RestoredEvents) error {
-	return fmt.Errorf("algebra: the legacy pattern kernel does not support snapshots")
-}
-
 // valueLess is the deterministic bucket-key order used on the wire:
 // by kind, then by payload.
 func valueLess(a, b event.Value) bool {

@@ -60,16 +60,9 @@ type Config struct {
 	// ReadAhead bounds the ingest read-ahead ring (decoded batches the
 	// decode goroutine may run ahead of dispatch); 0 means 4.
 	ReadAhead int
-	// DisablePipeline forces the legacy synchronous per-event ingest
-	// loop instead of the pipelined batch path.
-	DisablePipeline bool
 	// DefaultHorizon overrides the default pattern matching horizon
 	// (see plan.DefaultHorizon).
 	DefaultHorizon int64
-	// LegacyPatternKernel runs patterns on the preserved
-	// per-combination kernel instead of the shared-run automaton
-	// (differential testing and ablation benchmarks).
-	LegacyPatternKernel bool
 	// CollectOutputs retains derived events in Stats.Outputs.
 	CollectOutputs bool
 	// DisableDerivedArena constructs derived events on the GC heap
@@ -128,13 +121,9 @@ func (c Config) Summary() map[string]string {
 		"workers":      strconv.Itoa(c.Workers),
 		"shards":       strconv.Itoa(c.Shards),
 		"read_ahead":   strconv.Itoa(c.ReadAhead),
-		"pipeline":     strconv.FormatBool(!c.DisablePipeline),
 	}
 	if c.Pacing > 0 {
 		s["pacing"] = c.Pacing.String()
-	}
-	if c.LegacyPatternKernel {
-		s["legacy_kernel"] = "true"
 	}
 	if c.DisableDerivedArena {
 		s["derived_arena"] = "false"
@@ -175,29 +164,27 @@ func NewEngine(m *model.Model, cfg Config) (*Engine, error) {
 		opts = plan.NonOptimized()
 	}
 	opts.DefaultHorizon = cfg.DefaultHorizon
-	opts.LegacyKernel = cfg.LegacyPatternKernel
 
 	p, err := plan.Build(m, opts)
 	if err != nil {
 		return nil, err
 	}
 	rt, err := runtime.New(runtime.Config{
-		Plan:            p,
-		Mode:            mode,
-		Sharing:         cfg.Sharing,
-		Fusion:          cfg.FusePatterns,
-		PartitionBy:     cfg.PartitionBy,
-		Workers:         cfg.Workers,
-		Shards:          cfg.Shards,
-		Pacing:          cfg.Pacing,
-		ReadAhead:       cfg.ReadAhead,
-		DisablePipeline: cfg.DisablePipeline,
-		CollectOutputs:  cfg.CollectOutputs,
-		OnOutput:        cfg.OnOutput,
-		Telemetry:       cfg.Telemetry,
-		Tracer:          cfg.Tracer,
-		Stages:          cfg.Stages,
-		Health:          cfg.Health,
+		Plan:           p,
+		Mode:           mode,
+		Sharing:        cfg.Sharing,
+		Fusion:         cfg.FusePatterns,
+		PartitionBy:    cfg.PartitionBy,
+		Workers:        cfg.Workers,
+		Shards:         cfg.Shards,
+		Pacing:         cfg.Pacing,
+		ReadAhead:      cfg.ReadAhead,
+		CollectOutputs: cfg.CollectOutputs,
+		OnOutput:       cfg.OnOutput,
+		Telemetry:      cfg.Telemetry,
+		Tracer:         cfg.Tracer,
+		Stages:         cfg.Stages,
+		Health:         cfg.Health,
 
 		DisableDerivedArena: cfg.DisableDerivedArena,
 		DerivedChunkEvents:  cfg.DerivedChunkEvents,

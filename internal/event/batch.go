@@ -104,8 +104,8 @@ func (b *Batcher) Err() error {
 }
 
 // perEvent adapts a BatchSource back to a per-event Source, for
-// callers that want the legacy protocol (differential tests, the
-// -no-pipeline escape hatch).
+// callers that want the one-event-at-a-time protocol (tests that
+// drive a batch source through Engine.Run's Batcher route).
 type perEvent struct {
 	bs   BatchSource
 	b    Batch

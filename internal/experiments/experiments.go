@@ -221,3 +221,27 @@ func runPAM(replicas int, mode runtime.Mode, duration int64, workers int) (*runt
 // latency is what the paper reports; effort makes the tables
 // reproducible on loaded CI machines.
 func effort(st *runtime.Stats) uint64 { return st.EventsFed }
+
+// winRatio is the paper's headline metric: the maximal latency of the
+// baseline divided by the maximal latency of the contender (§7.1).
+// It returns 0 when the contender latency is zero.
+func winRatio(baseline, contender time.Duration) float64 {
+	if contender <= 0 {
+		return 0
+	}
+	return float64(baseline) / float64(contender)
+}
+
+// lFactor is the scalability metric of the Linear Road benchmark: the
+// largest input scale (number of roads) whose maximal latency stays
+// within the constraint. latencies[i] is the measured maximal latency
+// at scale scales[i]; scales must be increasing.
+func lFactor(scales []int, latencies []time.Duration, constraint time.Duration) int {
+	best := 0
+	for i, s := range scales {
+		if latencies[i] <= constraint && s > best {
+			best = s
+		}
+	}
+	return best
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/caesar-cep/caesar/internal/metrics"
 	"github.com/caesar-cep/caesar/internal/optimizer"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
@@ -118,8 +117,8 @@ func Fig11b(s Scale) (*Table, error) {
 	// more — the paper's 7-vs-5 relation at our scale.
 	if len(optLat) > 0 {
 		constraint := nonLat[(len(nonLat)-1)*2/3] + nonLat[(len(nonLat)-1)*2/3]/20
-		lOpt := metrics.LFactor(scales, optLat, constraint)
-		lNon := metrics.LFactor(scales, nonLat, constraint)
+		lOpt := lFactor(scales, optLat, constraint)
+		lNon := lFactor(scales, nonLat, constraint)
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("constraint %s (scaled stand-in for the benchmark's 5 s): L-factor optimized=%d, non-optimized=%d",
 				fmtDur(constraint), lOpt, lNon),

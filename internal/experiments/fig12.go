@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/caesar-cep/caesar/internal/linearroad"
-	"github.com/caesar-cep/caesar/internal/metrics"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
@@ -58,10 +57,10 @@ func Fig12a(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(q),
 			fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))),
 			fmtDur(pca.MaxLatency), fmtDur(pci.MaxLatency),
-			fmtRatio(metrics.WinRatio(pci.MaxLatency, pca.MaxLatency)))
+			fmtRatio(winRatio(pci.MaxLatency, pca.MaxLatency)))
 	}
 	t.Notes = append(t.Notes,
 		"paper: CA ~8x faster than CI at 10 queries (LR); same win at 20 queries (PAM)")
@@ -94,7 +93,7 @@ func Fig12b(s Scale) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(roads), fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))))
 	}
 	t.Notes = append(t.Notes, "paper: CA 9x faster than CI at 7 roads")
@@ -149,7 +148,7 @@ func Fig12c(s Scale) (*Table, error) {
 		t.AddRow(fmt.Sprint(length),
 			fmt.Sprintf("%.0f%%", 100*suspendable),
 			fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))))
 	}
 	t.Notes = append(t.Notes,
@@ -190,7 +189,7 @@ func Fig12d(s Scale) (*Table, error) {
 		t.AddRow(fmt.Sprint(n),
 			fmt.Sprintf("%.0f%%", 100*suspendable),
 			fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))))
 	}
 	t.Notes = append(t.Notes,

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/caesar-cep/caesar/internal/event"
-	"github.com/caesar-cep/caesar/internal/metrics"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/pam"
 	"github.com/caesar-cep/caesar/internal/plan"
@@ -215,7 +214,7 @@ func Fig14a(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(o.maxConcurrent()),
 			fmtDur(sh.MaxLatency), fmtDur(non.MaxLatency),
-			fmtRatio(metrics.WinRatio(non.MaxLatency, sh.MaxLatency)),
+			fmtRatio(winRatio(non.MaxLatency, sh.MaxLatency)),
 			fmtRatio(float64(non.InstanceExecs)/float64(sh.InstanceExecs)))
 	}
 	t.Notes = append(t.Notes, "paper: sharing wins 10x when 45 windows overlap")
@@ -239,7 +238,7 @@ func Fig14b(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(overlap),
 			fmtDur(sh.MaxLatency), fmtDur(non.MaxLatency),
-			fmtRatio(metrics.WinRatio(non.MaxLatency, sh.MaxLatency)),
+			fmtRatio(winRatio(non.MaxLatency, sh.MaxLatency)),
 			fmtRatio(float64(non.InstanceExecs)/float64(sh.InstanceExecs)))
 	}
 	t.Notes = append(t.Notes,
@@ -269,7 +268,7 @@ func Fig14c(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(q),
 			fmtDur(sh.MaxLatency), fmtDur(non.MaxLatency),
-			fmtRatio(metrics.WinRatio(non.MaxLatency, sh.MaxLatency)),
+			fmtRatio(winRatio(non.MaxLatency, sh.MaxLatency)),
 			fmtRatio(float64(effort(non))/float64(effort(sh))),
 			fmtDur(psh.MaxLatency), fmtDur(pnon.MaxLatency))
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"github.com/caesar-cep/caesar/internal/metrics"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
@@ -89,7 +88,7 @@ func Summary(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		win := metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)
+		win := winRatio(ci.MaxLatency, ca.MaxLatency)
 		eff := float64(effort(ci)) / float64(effort(ca))
 		latSum += win
 		effSum += eff

@@ -143,7 +143,6 @@ func TestRunReuseIdenticalOutputs(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"sync", func(c *Config) { c.DisablePipeline = true }},
 		{"workers=2", func(c *Config) { c.Workers = 2 }},
 		{"shards=2", func(c *Config) { c.Shards = 2 }},
 	}

@@ -137,8 +137,11 @@ func (e *Engine) durabilityFingerprint() string {
 	fmt.Fprintf(&b, "caesar-snap-v1|mode=%s|sharing=%t|fusion=%t|partition=%s",
 		e.cfg.Mode, e.cfg.Sharing, e.cfg.Fusion, strings.Join(e.cfg.PartitionBy, ","))
 	o := e.cfg.Plan.Opts
-	fmt.Fprintf(&b, "|opts=%t,%t,%d,%t,%t",
-		o.PushDown, o.EagerFilters, o.DefaultHorizon, o.DisableNegIndex, o.LegacyKernel)
+	// The trailing ",false" is the retired legacy-kernel flag. It
+	// stays in the string so snapshots written before the flag was
+	// removed keep matching and resume.
+	fmt.Fprintf(&b, "|opts=%t,%t,%d,%t,false",
+		o.PushDown, o.EagerFilters, o.DefaultHorizon, o.DisableNegIndex)
 	for gi := range e.groups {
 		b.WriteString("|g")
 		for i := range e.groups[gi].units {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/caesar-cep/caesar/internal/durability"
 	"github.com/caesar-cep/caesar/internal/event"
+	"github.com/caesar-cep/caesar/internal/linearroad"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/plan"
 )
@@ -317,9 +318,9 @@ func TestCorruptSnapshotFallbackRecovery(t *testing.T) {
 	}
 }
 
-// TestDurableConfigValidation: durability composes only with the
-// pipelined ingest path and the shared-run kernel, and the same knobs
-// stay inert with durability off.
+// TestDurableConfigValidation: a negative checkpoint interval is
+// rejected with durability on, and the knob stays inert with
+// durability off.
 func TestDurableConfigValidation(t *testing.T) {
 	m, err := model.CompileSource(trafficSrc)
 	if err != nil {
@@ -329,25 +330,51 @@ func TestDurableConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := plan.Build(m, plan.Options{PushDown: true, EagerFilters: true, LegacyKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if _, err := New(Config{Plan: p, Workers: 1, DurableDir: dir, DisablePipeline: true}); err == nil {
-		t.Error("durability accepted with the pipeline disabled")
-	}
-	if _, err := New(Config{Plan: legacy, Workers: 1, DurableDir: dir}); err == nil {
-		t.Error("durability accepted with the legacy kernel")
-	}
 	if _, err := New(Config{Plan: p, Workers: 1, DurableDir: dir, CheckpointEvery: -1}); err == nil {
 		t.Error("negative checkpoint interval accepted")
 	}
-	if _, err := New(Config{Plan: legacy, Workers: 1}); err != nil {
-		t.Errorf("legacy kernel without durability rejected: %v", err)
-	}
-	if _, err := New(Config{Plan: p, Workers: 1, DisablePipeline: true, CheckpointEvery: 8}); err != nil {
+	if _, err := New(Config{Plan: p, Workers: 1, CheckpointEvery: 8}); err != nil {
 		t.Errorf("checkpoint interval without a durable dir rejected: %v", err)
+	}
+}
+
+// TestDurabilityFingerprintStable pins the snapshot-compatibility
+// fingerprint of the Linear Road toll engine, plain and shared/fused.
+// A snapshot whose fingerprint differs is rejected on recovery, so a
+// changed string would strand every durable directory written by an
+// earlier build. The strings were recorded before the legacy pattern
+// kernel was removed; its flag survives as the literal ",false" at
+// the end of the opts field.
+func TestDurabilityFingerprintStable(t *testing.T) {
+	m, err := model.CompileSource(linearroad.ModelSource(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(m, plan.Optimized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const units = "|g|q0(DERIVE SegStat):7:300|q1(SWITCH CONTEXT congestion):2:300|q2(SWITCH CONTEXT clear):4:300" +
+		"|q3(DERIVE StoppedCar):6:35|q4(INITIATE CONTEXT accident):6:300|q5(TERMINATE CONTEXT accident):1:300" +
+		"|q6(DERIVE TollNotification):3:90|q7(DERIVE TollNotification):4:90|q8(DERIVE AccidentWarning):1:300"
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Plan: p, PartitionBy: linearroad.PartitionBy()},
+			"caesar-snap-v1|mode=context-aware|sharing=false|fusion=false|partition=xway,dir,seg|opts=true,true,0,false,false" + units},
+		{Config{Plan: p, Sharing: true, Fusion: true, PartitionBy: linearroad.PartitionBy()},
+			"caesar-snap-v1|mode=context-aware|sharing=true|fusion=true|partition=xway,dir,seg|opts=true,true,0,false,false" + units},
+	}
+	for _, c := range cases {
+		eng, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.durabilityFingerprint(); got != c.want {
+			t.Errorf("fingerprint changed:\n got %s\nwant %s", got, c.want)
+		}
 	}
 }
 

@@ -85,10 +85,8 @@ type Config struct {
 	// stream partitions end to end, fed through lock-free SPSC rings.
 	// Shards == 1 preserves the legacy pipeline (distributor + worker
 	// pool) byte-for-byte. Shards == 0 defaults to GOMAXPROCS when
-	// Workers and DisablePipeline are also unset; an explicitly
-	// configured Workers keeps the legacy pool for compatibility, and
-	// DisablePipeline resolves to 1. Requires the pipelined
-	// ingest path (incompatible with DisablePipeline) when > 1.
+	// Workers is also unset; an explicitly configured Workers keeps
+	// the legacy pool for compatibility.
 	Shards int
 	// Pacing, when positive, replays the stream in real time: one
 	// application time unit lasts Pacing of wall time. Zero feeds the
@@ -99,10 +97,6 @@ type Config struct {
 	// batches the decode goroutine may run ahead of dispatch. 0 means
 	// 4 (DESIGN.md §3.4).
 	ReadAhead int
-	// DisablePipeline forces the legacy synchronous ingest loop:
-	// decode, pace and dispatch one event at a time on one goroutine.
-	// The pipelined path is differentially tested against it.
-	DisablePipeline bool
 	// CollectOutputs retains all derived events in Stats.Outputs.
 	CollectOutputs bool
 	// DisableDerivedArena routes derived-event construction to the GC
@@ -155,8 +149,7 @@ type Config struct {
 	// alongside, and Run recovers from the latest snapshot plus the
 	// WAL tail before consuming live input. Ticks already covered by
 	// recovery are dropped from the live source, so re-feeding the
-	// full input after a restart resumes exactly-once. Requires the
-	// pipelined ingest path and the shared-run kernel.
+	// full input after a restart resumes exactly-once.
 	DurableDir string
 	// CheckpointEvery is the snapshot interval in dispatched ticks; 0
 	// means 512. Durability only.
@@ -190,9 +183,8 @@ type Stats struct {
 	EventsFed uint64
 	// HistoryResets counts context history discards (window closures).
 	HistoryResets uint64
-	// Batches counts ingest batches dispatched (0 on the synchronous
-	// path); ReclaimedChunks counts event-arena slabs recycled by
-	// watermark reclamation.
+	// Batches counts ingest batches dispatched; ReclaimedChunks counts
+	// event-arena slabs recycled by watermark reclamation.
 	Batches         uint64
 	ReclaimedChunks uint64
 	// ReplayedTicks counts WAL ticks re-dispatched during crash
@@ -290,17 +282,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 	nShards := cfg.Shards
 	if nShards == 0 {
-		if cfg.Workers != 0 || cfg.DisablePipeline {
-			// An explicitly sized worker pool or the synchronous loop
-			// keeps the unsharded path on any host, whatever its
-			// core count.
+		if cfg.Workers != 0 {
+			// An explicitly sized worker pool keeps the unsharded
+			// path on any host, whatever its core count.
 			nShards = 1
 		} else {
 			nShards = gort.GOMAXPROCS(0)
 		}
-	}
-	if nShards > 1 && cfg.DisablePipeline {
-		return nil, fmt.Errorf("runtime: the sharded runtime (Shards=%d) requires the pipelined ingest path", nShards)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 4
@@ -311,16 +299,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Mode == ContextIndependent && (cfg.Sharing || cfg.Fusion) {
 		return nil, fmt.Errorf("runtime: workload sharing and fusion apply to context-aware mode only")
 	}
-	if cfg.DurableDir != "" {
-		if cfg.DisablePipeline {
-			return nil, fmt.Errorf("runtime: durability requires the pipelined ingest path")
-		}
-		if cfg.Plan.Opts.LegacyKernel {
-			return nil, fmt.Errorf("runtime: durability requires the shared-run kernel (the legacy kernel does not snapshot)")
-		}
-		if cfg.CheckpointEvery < 0 {
-			return nil, fmt.Errorf("runtime: negative checkpoint interval")
-		}
+	if cfg.DurableDir != "" && cfg.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("runtime: negative checkpoint interval")
 	}
 	e := &Engine{cfg: cfg, m: cfg.Plan.Model, nShards: nShards}
 	var err error
@@ -463,52 +443,15 @@ func (e *Engine) Groups() (groups, instances int) {
 // Stats.Outputs of a previous call remains valid across later calls.
 //
 // Sources implementing event.BatchSource (SliceSource, event.Reader,
-// linearroad.Stream) feed the pipelined ingest path: decode runs on
-// its own goroutine behind a bounded read-ahead ring (DESIGN.md
-// §3.4); other sources are adapted through event.NewBatcher.
-// Config.DisablePipeline selects the legacy synchronous loop.
+// linearroad.Stream) feed the pipelined ingest path directly: decode
+// runs on its own goroutine behind a bounded read-ahead ring
+// (DESIGN.md §3.4). Other sources are adapted through
+// event.NewBatcher.
 func (e *Engine) Run(src event.Source) (*Stats, error) {
-	if e.cfg.DisablePipeline {
-		return e.runSync(src)
-	}
 	if bs, ok := src.(event.BatchSource); ok {
 		return e.RunBatches(bs)
 	}
 	return e.RunBatches(event.NewBatcher(src))
-}
-
-// runSync is the preserved synchronous ingest loop: decode, pace and
-// dispatch on one goroutine, one event at a time. It anchors the
-// differential tests for the pipelined path.
-func (e *Engine) runSync(src event.Source) (*Stats, error) {
-	r := e.newRun()
-	var tick []*event.Event
-	var curTS event.Time
-	var orderErr error
-	for ev := src.Next(); ev != nil; ev = src.Next() {
-		r.rm.events.Inc()
-		ts := ev.End()
-		if ts < curTS {
-			// Events must arrive in-order by time stamp (§6.2);
-			// processing a late event would corrupt context
-			// derivation, so the run aborts.
-			orderErr = fmt.Errorf("runtime: out-of-order event %v after t=%d", ev, curTS)
-			break
-		}
-		if len(tick) > 0 && ts != curTS {
-			if orderErr = r.dispatchTick(curTS, tick); orderErr != nil {
-				break
-			}
-			tick = tick[:0]
-		}
-		curTS = ts
-		tick = append(tick, ev)
-	}
-	if orderErr == nil && len(tick) > 0 {
-		orderErr = r.dispatchTick(curTS, tick)
-	}
-	r.shutdown()
-	return r.finish(src, orderErr)
 }
 
 // collect derives the run's Stats from the run's metric objects —

@@ -18,7 +18,7 @@
 // still in the read-ahead ring carry timestamps above the last
 // released batch's, which caps it too (a resumed run dedups its
 // re-fed stream with lastTS already at the recovery point); and
-// pattern state (partials, negation buffers, pending matches) only
+// pattern state (run nodes, negation buffers, pending matches) only
 // references events within 2·horizon of a completed transaction,
 // which the slack term covers. Aggregation and projection copy
 // attribute values, never retain event pointers.
@@ -111,9 +111,9 @@ func (r *batchRing) release(b *event.Batch) {
 // abort unblocks both sides after a dispatch error.
 func (r *batchRing) abort() { close(r.done) }
 
-// run is one execution's mutable state, shared by the synchronous
-// and pipelined ingest paths: the metric set, the worker pool, the
-// distributor, and the dispatch-side ordering and pacing state.
+// run is one execution's mutable state on the distributor → worker
+// pool runtime: the metric set, the worker pool, the distributor, and
+// the dispatch-side ordering and pacing state.
 type run struct {
 	e       *Engine
 	rm      *runMetrics
@@ -240,7 +240,6 @@ func (r *run) reset() {
 	r.rm.ringDepth = nil // the batch path re-sets it against its ring
 	r.appStartSet = false
 	r.haveLast = false
-	r.dist.pipeline = false
 	for _, w := range r.workers {
 		w.resetForRun()
 	}
@@ -338,9 +337,6 @@ func startDecode(ring *batchRing, src event.BatchSource, rec event.Reclaimer, wa
 // on the sharded runtime (shard.go); otherwise on the legacy
 // distributor + worker pool.
 func (e *Engine) RunBatches(src event.BatchSource) (*Stats, error) {
-	if e.cfg.DisablePipeline {
-		return e.runSync(event.PerEvent(src))
-	}
 	if e.nShards > 1 {
 		return e.runSharded(src)
 	}
@@ -356,7 +352,6 @@ func (e *Engine) RunBatches(src event.BatchSource) (*Stats, error) {
 	}
 	ring := r.ring
 	r.rm.ringDepth = func() int64 { return int64(len(ring.data)) }
-	r.dist.pipeline = true
 	rec, _ := src.(event.Reclaimer)
 	slack := e.reclaimSlack()
 

@@ -257,9 +257,6 @@ func TestShardConfigValidation(t *testing.T) {
 	if _, err := New(Config{Plan: p, Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if _, err := New(Config{Plan: p, Shards: 4, DisablePipeline: true}); err == nil {
-		t.Error("sharded runtime accepted with the pipeline disabled")
-	}
 	// Explicit Workers without Shards resolves to the legacy pipeline.
 	eng, err := New(Config{Plan: p, Workers: 2})
 	if err != nil {

@@ -98,7 +98,6 @@ type queryMetrics struct {
 	filteredOut telemetry.Counter
 	negated     telemetry.Counter
 	arenaChunks telemetry.Counter
-	partials    telemetry.Gauge
 	negBuffered telemetry.Gauge
 	pending     telemetry.Gauge
 	runNodes    telemetry.Gauge
@@ -159,7 +158,6 @@ func (rm *runMetrics) reset() {
 		qm.filteredOut.Reset()
 		qm.negated.Reset()
 		qm.arenaChunks.Reset()
-		qm.partials.Set(0)
 		qm.negBuffered.Set(0)
 		qm.pending.Set(0)
 		qm.runNodes.Set(0)
@@ -223,7 +221,6 @@ func (rm *runMetrics) register(reg *telemetry.Registry, e *Engine, workers []*wo
 		reg.Register("caesar_query_filtered_total", "matches rejected by predicates", &qm.filteredOut, lbl)
 		reg.Register("caesar_query_negated_total", "matches invalidated by negation", &qm.negated, lbl)
 		reg.Register("caesar_query_arena_chunks_total", "arena slabs allocated", &qm.arenaChunks, lbl)
-		reg.Register("caesar_query_partials", "retained partial matches", &qm.partials, lbl)
 		reg.Register("caesar_query_neg_buffered", "buffered negation events", &qm.negBuffered, lbl)
 		reg.Register("caesar_query_pending", "matches awaiting a negation deadline", &qm.pending, lbl)
 		reg.Register("caesar_query_run_nodes", "shared automaton run nodes retained", &qm.runNodes, lbl)

@@ -460,7 +460,6 @@ func (is *instanceState) publishDetail(rm *runMetrics) {
 func (is *instanceState) publishFootprint(rm *runMetrics) {
 	qm := &rm.query[is.qmIdx]
 	f := is.inst.Footprint()
-	qm.partials.Add(int64(f.Partials - is.lastFoot.Partials))
 	qm.negBuffered.Add(int64(f.NegBuffered - is.lastFoot.NegBuffered))
 	qm.pending.Add(int64(f.Pending - is.lastFoot.Pending))
 	qm.runNodes.Add(int64(f.RunNodes - is.lastFoot.RunNodes))

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -78,9 +79,9 @@ func TestHistogramNegativeClamp(t *testing.T) {
 	}
 }
 
-// TestHistogramSumSaturates is the LatencyTracker.Mean overflow
-// regression test: very long runs must saturate the sum instead of
-// wrapping into negative means.
+// TestHistogramSumSaturates is the latency-mean overflow regression
+// test: very long runs must saturate the sum instead of wrapping into
+// negative means.
 func TestHistogramSumSaturates(t *testing.T) {
 	var h Histogram
 	h.Observe(math.MaxInt64)
@@ -99,6 +100,29 @@ func TestHistogramSumSaturates(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrentObserve checks the lock-free write path:
+// concurrent observers lose no sample and agree on the maximum.
+func TestHistogramConcurrentObserve(t *testing.T) {
+	var h Histogram
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 1000; i++ {
+				h.ObserveDuration(time.Duration(i) * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Max() != int64(1000*time.Microsecond) {
+		t.Errorf("max = %d", h.Max())
+	}
+	if h.Count() != 8000 {
+		t.Errorf("count = %d", h.Count())
+	}
+}
+
 func TestHistogramOverflowBucket(t *testing.T) {
 	var h Histogram
 	v := int64(1) << 45 // beyond maxExp
@@ -106,5 +130,74 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	s := h.Snapshot()
 	if got := s.Quantile(0.99); got != v {
 		t.Errorf("overflow quantile = %d, want capped at exact max %d", got, v)
+	}
+}
+
+// TestHistogramDurationBasics drives the histogram through its
+// duration entry point, the way latency callers use it: max, mean and
+// count come back exactly and Reset clears them.
+func TestHistogramDurationBasics(t *testing.T) {
+	var h Histogram
+	h.ObserveDuration(10 * time.Millisecond)
+	h.ObserveDuration(30 * time.Millisecond)
+	h.ObserveDuration(20 * time.Millisecond)
+	if got := time.Duration(h.Max()); got != 30*time.Millisecond {
+		t.Errorf("max = %v", got)
+	}
+	if got := time.Duration(h.Mean()); got != 20*time.Millisecond {
+		t.Errorf("mean = %v", got)
+	}
+	if h.Count() != 3 {
+		t.Errorf("count = %d", h.Count())
+	}
+	h.Reset()
+	if h.Max() != 0 || h.Count() != 0 {
+		t.Error("reset incomplete")
+	}
+}
+
+// TestHistogramDurationNegativeClamped: a negative duration still
+// counts as a sample but clamps to zero.
+func TestHistogramDurationNegativeClamped(t *testing.T) {
+	var h Histogram
+	h.ObserveDuration(-5 * time.Millisecond)
+	if h.Max() != 0 || h.Count() != 1 {
+		t.Errorf("negative sample mishandled: max=%d count=%d", h.Max(), h.Count())
+	}
+}
+
+// TestHistogramMeanOverflow is the regression test for the int64 sum
+// overflow with samples below MaxInt64: once the running sum exceeds
+// math.MaxInt64, Mean must saturate high instead of wrapping negative,
+// and Max stays exact.
+func TestHistogramMeanOverflow(t *testing.T) {
+	var h Histogram
+	huge := time.Duration(math.MaxInt64 / 2)
+	for i := 0; i < 5; i++ {
+		h.ObserveDuration(huge)
+	}
+	if m := time.Duration(h.Mean()); m < 0 {
+		t.Fatalf("mean wrapped negative: %v", m)
+	} else if m < huge/5 {
+		t.Fatalf("saturated mean implausibly small: %v", m)
+	}
+	if got := time.Duration(h.Max()); got != huge {
+		t.Errorf("max = %v", got)
+	}
+}
+
+// TestHistogramDurationQuantile checks the median of a millisecond
+// ramp lands near its true value and p100 is the exact maximum.
+func TestHistogramDurationQuantile(t *testing.T) {
+	var h Histogram
+	for i := 1; i <= 100; i++ {
+		h.ObserveDuration(time.Duration(i) * time.Millisecond)
+	}
+	s := h.Snapshot()
+	if p50 := time.Duration(s.Quantile(0.5)); p50 < 45*time.Millisecond || p50 > 60*time.Millisecond {
+		t.Errorf("p50 = %v, want ~50ms", p50)
+	}
+	if got := time.Duration(s.Quantile(1)); got != 100*time.Millisecond {
+		t.Errorf("p100 = %v, want exact max", got)
 	}
 }

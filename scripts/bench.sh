@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Benchmark harness: runs the BenchmarkPattern* family plus the engine
 # end-to-end benchmarks into BENCH_pattern.json, the ingest pipeline
-# family (decoder, batcher, end-to-end wire/batch/sync) into
+# family (decoder, batcher, end-to-end wire/batch) into
 # BENCH_ingest.json, the sharded runtime's scaling series
 # (BenchmarkEngineSharded/shards=1..8 on the dispatch-bound workload,
 # tracer on at the default rate) into BENCH_scaling.json, the
@@ -35,7 +35,7 @@ go test -run=NONE -bench='BenchmarkEngine(ContextAware$|DispatchBound)' -benchme
 echo "== running ingest benchmarks (count=$count)" >&2
 go test -run=NONE -bench='BenchmarkIngest' -benchmem -count="$count" \
     ./internal/event/ | tee -a "$tmp2" >&2
-go test -run=NONE -bench='BenchmarkEngine(WireIngest|BatchStream|SyncIngest)' -benchmem -count="$count" \
+go test -run=NONE -bench='BenchmarkEngine(WireIngest|BatchStream)' -benchmem -count="$count" \
     . | tee -a "$tmp2" >&2
 
 echo "== running shard scaling benchmarks (count=$count)" >&2

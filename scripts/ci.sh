@@ -108,9 +108,11 @@ check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 
 # Kernel differential under the race detector, at higher counts than
 # the suite-wide pass: the shared-run automaton must stay emission-
-# identical to the preserved legacy kernel, including under the
-# pipelined multi-worker engine, and the negation probe must agree
-# with the reference kernel under disorder and snapshot restore.
+# identical to the per-combination reference evaluator refPattern
+# (internal/algebra/pattern_ref_test.go), the pipelined multi-worker
+# engine must reproduce the pinned toll digests, and the negation
+# probe must agree with refPattern under disorder and snapshot
+# restore.
 echo "== go test -race (kernel differential focus)"
 go test -race -count=2 -run 'TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestNegationDifferential' ./internal/algebra/
 go test -race -count=2 -run 'TestPatternKernelsByteIdentical' .
